@@ -127,6 +127,11 @@ func TestSweepRejectsBadRequests(t *testing.T) {
 		"bad value":     `{"grid": "nodes=ten"}`,
 		"unknown field": `{"grid": "nodes=5", "cache_dir": "/tmp"}`,
 		"too large":     `{"grid": "seed=1..5000 nodes=5,10,20"}`,
+		// Point counts that overflow an int (wrapping to 0 and to
+		// negative) and a span whose width overflows.
+		"size wraps to 0":        `{"grid": "seed=1..2048 nodes=1..2048 field=1..2048 flows=1..2048 rate=1..2048 dur=1..2048"}`,
+		"size wraps to negative": `{"grid": "seed=1..2048 nodes=1..2048 field=1..2048 flows=1..2048 rate=1..2048 dur=1..256"}`,
+		"span overflows":         `{"grid": "seed=-2..9223372036854775807"}`,
 	} {
 		if w := post(t, h, "/v1/sweeps", body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400 (body %s)", name, w.Code, w.Body)

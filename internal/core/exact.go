@@ -20,16 +20,10 @@ const maxExactRelays = 16
 
 // ExactSolve returns the optimal design and its Enetwork value.
 func (g *Graph) ExactSolve(demands []Demand, cfg EvalConfig) (*Design, float64, error) {
-	endpoints := make(map[int]bool, 2*len(demands))
-	for _, dm := range demands {
-		g.check(dm.Src)
-		g.check(dm.Dst)
-		endpoints[dm.Src] = true
-		endpoints[dm.Dst] = true
-	}
+	led := g.NewLedger(demands, cfg)
 	var relays []int
 	for v := 0; v < g.n; v++ {
-		if !endpoints[v] {
+		if !led.Endpoint(v) {
 			relays = append(relays, v)
 		}
 	}
@@ -39,9 +33,18 @@ func (g *Graph) ExactSolve(demands []Demand, cfg EvalConfig) (*Design, float64, 
 	}
 
 	allowed := make([]bool, g.n)
-	for v := range endpoints {
-		allowed[v] = true
+	for v := range allowed {
+		allowed[v] = led.Endpoint(v)
 	}
+	// Infinite node cost on disallowed nodes keeps Dijkstra inside the
+	// activation set.
+	blockInactive := func(v int) float64 {
+		if allowed[v] {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	var sp SPScratch
 
 	bestCost := math.Inf(1)
 	var best *Design
@@ -49,11 +52,12 @@ func (g *Graph) ExactSolve(demands []Demand, cfg EvalConfig) (*Design, float64, 
 		for i, v := range relays {
 			allowed[v] = mask&(1<<i) != 0
 		}
-		d, ok := g.routeWithin(demands, allowed)
+		d, ok := g.routeWithin(&sp, demands, cfg, blockInactive)
 		if !ok {
 			continue
 		}
-		if cost := g.Enetwork(demands, d, cfg); cost < bestCost {
+		led.Reset(d)
+		if cost := led.Energy(d); cost < bestCost {
 			bestCost = cost
 			best = d
 		}
@@ -64,75 +68,19 @@ func (g *Graph) ExactSolve(demands []Demand, cfg EvalConfig) (*Design, float64, 
 	return best, bestCost, nil
 }
 
-// routeWithin routes every demand using only allowed nodes, minimizing
-// communication cost per demand (optimal for a fixed activation set).
-func (g *Graph) routeWithin(demands []Demand, allowed []bool) (*Design, bool) {
+// routeWithin routes every demand along its cheapest path by Eq. 5 traffic
+// cost over the nodes nodeCost does not block — optimal for a fixed
+// activation set.
+func (g *Graph) routeWithin(sp *SPScratch, demands []Demand, cfg EvalConfig, nodeCost NodeCostFunc) (*Design, bool) {
 	d := &Design{Routes: make([][]int, len(demands))}
 	for i, dm := range demands {
-		rate := dm.Rate
-		if rate <= 0 {
-			rate = 1
-		}
-		blockInactive := func(v int) float64 {
-			if allowed[v] {
-				return 0
-			}
-			return math.Inf(1)
-		}
-		// Infinite node cost on disallowed nodes keeps Dijkstra inside the
-		// activation set; edge cost is the communication energy.
-		path, cost := g.shortestPathAllowInf(dm.Src, dm.Dst,
-			func(_, _ int, w float64) float64 { return w * rate }, blockInactive)
-		if path == nil || math.IsInf(cost, 1) {
+		k := cfg.Packets(dm) * cfg.TData
+		path, _ := g.ShortestPathInto(sp, dm.Src, dm.Dst,
+			func(_, _ int, w float64) float64 { return k * w }, nodeCost, nil)
+		if len(path) == 0 {
 			return nil, false
 		}
 		d.Routes[i] = path
 	}
 	return d, true
-}
-
-// shortestPathAllowInf is ShortestPath but tolerating +Inf node costs
-// (used as a blocking device by the exact solver).
-func (g *Graph) shortestPathAllowInf(src, dst int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc) ([]int, float64) {
-	dist := make([]float64, g.n)
-	parent := make([]int, g.n)
-	visited := make([]bool, g.n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		parent[i] = -1
-	}
-	dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < g.n; v++ {
-			if !visited[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u == -1 {
-			break
-		}
-		visited[u] = true
-		if u == dst {
-			break
-		}
-		for _, e := range g.adj[u] {
-			c := edgeCost(u, e.to, e.w) + nodeCost(e.to)
-			if nd := dist[u] + c; nd < dist[e.to] {
-				dist[e.to] = nd
-				parent[e.to] = u
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, math.Inf(1)
-	}
-	var path []int
-	for v := dst; v != -1; v = parent[v] {
-		path = append(path, v)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return path, dist[dst]
 }

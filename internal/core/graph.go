@@ -81,7 +81,7 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 // neighbors ascending by id with parallel edges collapsed to their minimum
 // weight, each entry carrying a packed undirected edge id. It turns
 // EdgeWeight's O(deg) scan into O(log deg) and gives per-edge bookkeeping
-// (the Ledger's traffic counts) an O(1) dense id space.
+// (the search's swap penalties) an O(1) dense id space.
 type edgeIndex struct {
 	nbr   [][]nbrEdge
 	edgeW []float64 // packed edge id -> weight
@@ -331,20 +331,23 @@ func (s *SPScratch) heapPop() pqItem {
 // DijkstraInto computes least-cost distances and parents from src using the
 // scratch's buffers — zero allocations in steady state. edgeCost defaults
 // to the edge weight; nodeCost (charged on entering a node other than src)
-// defaults to zero. Costs must be non-negative. Edges relax in adjacency
-// insertion order, exactly as Dijkstra always has, so equal-cost parent
-// ties resolve identically.
+// defaults to zero. Costs must be non-negative; a +Inf node cost blocks
+// the node (it is never entered, and what only it connects stays at +Inf
+// distance). Edges relax in adjacency insertion order, exactly as
+// Dijkstra always has, so equal-cost parent ties resolve identically.
 func (g *Graph) DijkstraInto(s *SPScratch, src int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc) (dist []float64, parent []int) {
 	g.dijkstra(s, src, -1, edgeCost, nodeCost)
 	return s.dist, s.parent
 }
 
-// dijkstra is the engine behind DijkstraInto and ShortestPathInto. nodeCost
-// is memoized per node for the duration of the run (callers' cost closures
-// are pure within one call), and when dst is a valid node the run stops as
-// soon as dst settles: with non-negative costs and strict-< relaxation, a
-// settled node's dist and the parent chain behind it can never change, so
-// the path ShortestPathInto walks is bit-identical to a full run's.
+// dijkstra is core's one shortest-path loop, behind DijkstraInto and
+// ShortestPathInto (and so every design heuristic, solver and bound).
+// nodeCost is memoized per node for the duration of the run (callers' cost
+// closures are pure within one call), and when dst is a valid node the run
+// stops as soon as dst settles: with non-negative costs and strict-<
+// relaxation, a settled node's dist and the parent chain behind it can
+// never change, so the path ShortestPathInto walks is bit-identical to a
+// full run's.
 func (g *Graph) dijkstra(s *SPScratch, src, dst int, edgeCost EdgeCostFunc, nodeCost NodeCostFunc) {
 	g.check(src)
 	if edgeCost == nil {
@@ -461,54 +464,30 @@ type EvalConfig struct {
 	TIdle float64 // idle duration charged to each active relay
 	TData float64 // link activity time per packet
 	// PacketsPerDemand is the packet count each demand sends (the gadget
-	// analyses use 1).
+	// analyses use 1; zero means 1).
 	PacketsPerDemand float64
+}
+
+// Packets returns demand dm's packet factor of Eq. 5: PacketsPerDemand
+// (1 when zero) times the demand's Rate when positive. It is the one
+// definition every evaluator, search and bound prices traffic with.
+func (cfg EvalConfig) Packets(dm Demand) float64 {
+	p := cfg.PacketsPerDemand
+	if p == 0 {
+		p = 1
+	}
+	if dm.Rate > 0 {
+		p *= dm.Rate
+	}
+	return p
 }
 
 // Enetwork evaluates Eq. 5 for a design: sum of idling cost tidle*c(u) over
 // active nodes (sources and destinations are free, as in Section 3) plus
-// tdata*w(e) per packet crossing each edge.
+// tdata*w(e) per packet crossing each edge. It is a one-shot Ledger
+// evaluation; callers scoring many designs should keep a Ledger instead.
 func (g *Graph) Enetwork(demands []Demand, d *Design, cfg EvalConfig) float64 {
-	if cfg.PacketsPerDemand == 0 {
-		cfg.PacketsPerDemand = 1
-	}
-	endpoints := make(map[int]bool, 2*len(demands))
-	for _, dm := range demands {
-		endpoints[dm.Src] = true
-		endpoints[dm.Dst] = true
-	}
-	// Summation order is fixed (ascending node id) so the float64 result is
-	// bit-identical across runs: the opt subsystem's fixed-seed trajectories
-	// compare these values against each other and against golden digests.
-	// Ledger.Energy reproduces this exact accumulation order.
-	active := d.Active()
-	ids := make([]int, 0, len(active))
-	for v := range active {
-		ids = append(ids, v)
-	}
-	sort.Ints(ids)
-	var total float64
-	for _, v := range ids {
-		if endpoints[v] {
-			continue // c(si) = c(di) = 0
-		}
-		total += cfg.TIdle * g.nodeWeight[v]
-	}
-	for i, r := range d.Routes {
-		if r == nil {
-			continue
-		}
-		pkts := cfg.PacketsPerDemand
-		if demands[i].Rate > 0 {
-			pkts *= demands[i].Rate
-		}
-		for j := 0; j+1 < len(r); j++ {
-			w, ok := g.EdgeWeight(r[j], r[j+1])
-			if !ok {
-				panic(fmt.Sprintf("core: route %d uses missing edge (%d,%d)", i, r[j], r[j+1]))
-			}
-			total += pkts * cfg.TData * w
-		}
-	}
-	return total
+	l := g.NewLedger(demands, cfg)
+	l.Reset(d)
+	return l.Energy(d)
 }

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -235,37 +236,6 @@ func randomDesign(g *Graph, demands []Demand, rng *rand.Rand) *Design {
 	return d
 }
 
-func TestLedgerEnergyBitIdenticalToEnetwork(t *testing.T) {
-	rng := rand.New(rand.NewPCG(12, 1))
-	for trial := 0; trial < 20; trial++ {
-		g := randomGraph(rng, 10+rng.IntN(12))
-		var demands []Demand
-		for k := 0; k < 2+rng.IntN(5); k++ {
-			u, v := rng.IntN(g.Len()), rng.IntN(g.Len())
-			if u == v {
-				continue
-			}
-			demands = append(demands, Demand{Src: u, Dst: v, Rate: float64(rng.IntN(3))})
-		}
-		if len(demands) == 0 {
-			continue
-		}
-		cfg := EvalConfig{TIdle: 1 + rng.Float64(), TData: rng.Float64()}
-		if trial%2 == 0 {
-			cfg.PacketsPerDemand = float64(1 + rng.IntN(4))
-		}
-		d := randomDesign(g, demands, rng)
-		l := g.NewLedger(demands, cfg)
-		l.Reset(d)
-		want := g.Enetwork(demands, d, cfg)
-		got := l.Energy(d)
-		if math.Float64bits(want) != math.Float64bits(got) {
-			t.Fatalf("trial %d: Ledger.Energy = %v (bits %x) want Enetwork = %v (bits %x)",
-				trial, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-	}
-}
-
 func TestLedgerAddRemoveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 1))
 	g := randomGraph(rng, 16)
@@ -274,9 +244,7 @@ func TestLedgerAddRemoveRoundTrip(t *testing.T) {
 	l := g.NewLedger(demands, cfgFor())
 	l.Reset(d)
 	ref := make([]int32, len(l.refcount))
-	use := make([]int32, len(l.edgeUse))
 	copy(ref, l.refcount)
-	copy(use, l.edgeUse)
 	e0 := l.Energy(d)
 	for k := 0; k < 50; k++ {
 		i := rng.IntN(len(demands))
@@ -292,11 +260,6 @@ func TestLedgerAddRemoveRoundTrip(t *testing.T) {
 		for v := range ref {
 			if ref[v] != l.refcount[v] {
 				t.Fatalf("step %d: refcount[%d] = %d want %d", k, v, l.refcount[v], ref[v])
-			}
-		}
-		for id := range use {
-			if use[id] != l.edgeUse[id] {
-				t.Fatalf("step %d: edgeUse[%d] = %d want %d", k, id, l.edgeUse[id], use[id])
 			}
 		}
 		if math.Float64bits(l.Energy(d)) != math.Float64bits(e0) {
@@ -321,13 +284,79 @@ func TestLedgerAccessors(t *testing.T) {
 	if !l.Endpoint(0) || !l.Endpoint(3) || l.Endpoint(1) {
 		t.Fatal("endpoint table wrong")
 	}
-	if l.EdgeUse(1, 2) != 1 || l.EdgeUse(2, 1) != 1 {
-		t.Fatal("edge use not symmetric")
-	}
-	if l.EdgeUse(0, 3) != 0 {
-		t.Fatal("missing edge should report zero use")
-	}
 	if l.Pkts(0) != 1 {
 		t.Fatalf("Pkts(0) = %v", l.Pkts(0))
+	}
+}
+
+// TestShortestPathIntoBlockedNodes pins the kernel's +Inf node-cost
+// semantics, which ExactSolve and the search's forbidden-node pricing rely
+// on: a path never enters a blocked node, and when only blocked nodes
+// connect the endpoints the result is an empty path at +Inf cost. The
+// expected answer is the same query on a copy of the graph with the
+// blocked nodes' edges deleted.
+func TestShortestPathIntoBlockedNodes(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 1))
+	var s SPScratch
+	var buf []int
+	inf := math.Inf(1)
+	unreachable := 0
+	for trial := 0; trial < 200; trial++ {
+		g := randomGraph(rng, 6+rng.IntN(14))
+		src, dst := rng.IntN(g.Len()), rng.IntN(g.Len())
+		blocked := make([]bool, g.Len())
+		for v := range blocked {
+			blocked[v] = v != src && v != dst && rng.IntN(3) == 0
+		}
+		nodeCost := func(v int) float64 {
+			if blocked[v] {
+				return inf
+			}
+			return g.nodeWeight[v]
+		}
+		sub := NewGraph(g.Len())
+		for u := range g.adj {
+			sub.nodeWeight[u] = g.nodeWeight[u]
+			for _, e := range g.adj[u] {
+				if !blocked[u] && !blocked[e.to] {
+					sub.adj[u] = append(sub.adj[u], e)
+				}
+			}
+		}
+		want, wantCost := sub.ShortestPath(src, dst, nil, nodeCost)
+		got, cost := g.ShortestPathInto(&s, src, dst, nil, nodeCost, buf)
+		buf = got
+		for _, v := range got {
+			if blocked[v] {
+				t.Fatalf("trial %d: path %v enters blocked node %d", trial, got, v)
+			}
+		}
+		if want == nil {
+			unreachable++
+			if len(got) != 0 || !math.IsInf(cost, 1) {
+				t.Fatalf("trial %d: blocked-off %d->%d returned %v at %v, want empty at +Inf", trial, src, dst, got, cost)
+			}
+			continue
+		}
+		if math.Float64bits(cost) != math.Float64bits(wantCost) || !slices.Equal(got, want) {
+			t.Fatalf("trial %d: %d->%d = %v at %v, want %v at %v", trial, src, dst, got, cost, want, wantCost)
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("no trial blocked its endpoints off; the unreachable case went untested")
+	}
+
+	// Only the blocked relay joins the endpoints.
+	g := NewGraph(3)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	path, cost := g.ShortestPathInto(&s, 0, 2, nil, func(v int) float64 {
+		if v == 1 {
+			return inf
+		}
+		return 0
+	}, nil)
+	if len(path) != 0 || !math.IsInf(cost, 1) {
+		t.Fatalf("path through blocked relay = %v at %v, want empty at +Inf", path, cost)
 	}
 }

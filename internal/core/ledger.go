@@ -2,19 +2,18 @@ package core
 
 import "fmt"
 
-// Ledger maintains the Enetwork (Eq. 5) terms of one evolving design
-// incrementally: per-node route reference counts and per-edge route counts,
-// updated in O(|route|) as routes are added and removed. All mutable state
-// is integer-exact, so applying a route and removing it restores the ledger
-// bit-for-bit — there is no float drift to accumulate across millions of
-// apply/undo cycles.
+// Ledger is the evaluator of Enetwork (Eq. 5): Graph.Enetwork is a
+// one-shot Ledger, and the search keeps one per engine. It tracks one
+// evolving design as per-node route reference counts, updated in
+// O(|route|) as routes are added and removed. The counts are integers, so
+// applying a route and removing it restores the ledger bit-for-bit —
+// there is no float drift to accumulate across millions of apply/undo
+// cycles.
 //
-// Energy does NOT difference floats: it re-sums the current terms in
-// exactly the accumulation order Graph.Enetwork uses (idle terms ascending
-// by node id, then traffic terms in demand order, hop by hop). The result
-// is therefore bit-identical to Enetwork by construction, not by
-// tolerance, while costing O(V + Σ|routes|) with zero allocations instead
-// of Enetwork's maps, sort and O(deg) weight scans.
+// Energy does NOT difference floats: it re-sums Eq. 5 in one fixed order
+// (idle terms ascending by node id, then traffic terms in demand order,
+// hop by hop), so every evaluation of a given design yields the same
+// float64 in O(V + Σ|routes|) with zero allocations.
 //
 // A Ledger captures the graph's edge index at construction; mutating the
 // graph (AddEdge) afterwards invalidates it. A Ledger must not be shared
@@ -24,35 +23,27 @@ type Ledger struct {
 	ix  *edgeIndex
 	cfg EvalConfig
 
-	pkts     []float64 // per demand: packets × rate factor of Eq. 5
+	pkts     []float64 // per demand: cfg.Packets
 	endpoint []bool    // per node: some demand's source or destination
 	refcount []int32   // per node: routes currently crossing it
-	edgeUse  []int32   // per edge id: routes currently crossing it
 }
 
 // NewLedger builds an empty ledger for designs over these demands. Install
 // a design with Reset, then keep it in sync route by route with Add and
 // Remove.
 func (g *Graph) NewLedger(demands []Demand, cfg EvalConfig) *Ledger {
-	if cfg.PacketsPerDemand == 0 {
-		cfg.PacketsPerDemand = 1
-	}
-	ix := g.index()
 	l := &Ledger{
 		g:        g,
-		ix:       ix,
+		ix:       g.index(),
 		cfg:      cfg,
 		pkts:     make([]float64, len(demands)),
 		endpoint: make([]bool, g.n),
 		refcount: make([]int32, g.n),
-		edgeUse:  make([]int32, len(ix.edgeW)),
 	}
 	for i, dm := range demands {
-		p := cfg.PacketsPerDemand
-		if dm.Rate > 0 {
-			p *= dm.Rate
-		}
-		l.pkts[i] = p
+		g.check(dm.Src)
+		g.check(dm.Dst)
+		l.pkts[i] = cfg.Packets(dm)
 		l.endpoint[dm.Src] = true
 		l.endpoint[dm.Dst] = true
 	}
@@ -61,28 +52,16 @@ func (g *Graph) NewLedger(demands []Demand, cfg EvalConfig) *Ledger {
 
 // Reset clears the ledger and installs design d.
 func (l *Ledger) Reset(d *Design) {
-	for i := range l.refcount {
-		l.refcount[i] = 0
-	}
-	for i := range l.edgeUse {
-		l.edgeUse[i] = 0
-	}
+	clear(l.refcount)
 	for _, r := range d.Routes {
 		l.Add(r)
 	}
 }
 
-// Add accounts a route's nodes and edges into the ledger.
+// Add accounts a route's nodes into the ledger.
 func (l *Ledger) Add(route []int) {
 	for _, v := range route {
 		l.refcount[v]++
-	}
-	for j := 0; j+1 < len(route); j++ {
-		e, ok := l.ix.find(route[j], route[j+1])
-		if !ok {
-			panic(fmt.Sprintf("core: route uses missing edge (%d,%d)", route[j], route[j+1]))
-		}
-		l.edgeUse[e.id]++
 	}
 }
 
@@ -91,26 +70,10 @@ func (l *Ledger) Remove(route []int) {
 	for _, v := range route {
 		l.refcount[v]--
 	}
-	for j := 0; j+1 < len(route); j++ {
-		e, ok := l.ix.find(route[j], route[j+1])
-		if !ok {
-			panic(fmt.Sprintf("core: route uses missing edge (%d,%d)", route[j], route[j+1]))
-		}
-		l.edgeUse[e.id]--
-	}
 }
 
 // RefCount returns how many installed routes cross node v.
 func (l *Ledger) RefCount(v int) int { return int(l.refcount[v]) }
-
-// EdgeUse returns how many installed routes cross edge {u,v} (0 if the
-// edge does not exist).
-func (l *Ledger) EdgeUse(u, v int) int {
-	if e, ok := l.ix.find(u, v); ok {
-		return int(l.edgeUse[e.id])
-	}
-	return 0
-}
 
 // Active reports whether node v lies on any installed route.
 func (l *Ledger) Active(v int) bool { return l.refcount[v] > 0 }
@@ -118,14 +81,14 @@ func (l *Ledger) Active(v int) bool { return l.refcount[v] > 0 }
 // Endpoint reports whether node v is some demand's source or destination.
 func (l *Ledger) Endpoint(v int) bool { return l.endpoint[v] }
 
-// Pkts returns demand i's packet factor of Eq. 5 (packets × rate).
+// Pkts returns demand i's packet factor of Eq. 5 (EvalConfig.Packets).
 func (l *Ledger) Pkts(i int) float64 { return l.pkts[i] }
 
 // Energy evaluates Eq. 5 for d, which must be the design currently
-// installed in the ledger. The accumulation order matches Graph.Enetwork
-// exactly — one accumulator, idle terms ascending by node id (endpoints
-// free), then traffic terms in demand order, hop by hop — so the float64
-// result is bit-identical to Enetwork(demands, d, cfg).
+// installed in the ledger: one accumulator, idle terms tidle*c(v)
+// ascending by node id over active non-endpoints, then traffic terms
+// pkts*tdata*w(e) in demand order, hop by hop (nil routes contribute
+// nothing). It panics if a route uses a missing edge.
 func (l *Ledger) Energy(d *Design) float64 {
 	var total float64
 	for v := 0; v < l.g.n; v++ {

@@ -182,9 +182,6 @@ func Compute(g *core.Graph, demands []core.Demand, o Options) (*Result, error) {
 	if o.Iterations <= 0 {
 		o.Iterations = 150
 	}
-	if o.Eval.PacketsPerDemand == 0 {
-		o.Eval.PacketsPerDemand = 1
-	}
 
 	inst, err := newInstance(g, demands, o.Eval)
 	if err != nil {
@@ -208,14 +205,13 @@ func Compute(g *core.Graph, demands []core.Demand, o Options) (*Result, error) {
 	return res, nil
 }
 
-// instance precomputes the per-demand packet weights, the global endpoint
-// set and the relay candidates (non-endpoint nodes with a positive idling
-// price — only they need multipliers).
+// instance precomputes the global endpoint set and the relay candidates
+// (non-endpoint nodes with a positive idling price — only they need
+// multipliers).
 type instance struct {
 	g       *core.Graph
 	demands []core.Demand
 	eval    core.EvalConfig
-	pkts    []float64 // packets crossing each edge of demand i's route
 	endp    []bool    // node is some demand's endpoint (idles for free)
 	relays  []int     // ascending non-endpoint nodes with TIdle·c(v) > 0
 	relayIx []int     // node -> index in relays, or -1
@@ -233,7 +229,6 @@ func newInstance(g *core.Graph, demands []core.Demand, eval core.EvalConfig) (*i
 	n := g.Len()
 	inst := &instance{
 		g: g, demands: demands, eval: eval,
-		pkts:    make([]float64, len(demands)),
 		endp:    make([]bool, n),
 		relayIx: make([]int, n),
 	}
@@ -243,11 +238,6 @@ func newInstance(g *core.Graph, demands []core.Demand, eval core.EvalConfig) (*i
 		}
 		inst.endp[dm.Src] = true
 		inst.endp[dm.Dst] = true
-		p := eval.PacketsPerDemand
-		if dm.Rate > 0 {
-			p *= dm.Rate
-		}
-		inst.pkts[i] = p
 	}
 	for v := 0; v < n; v++ {
 		inst.relayIx[v] = -1
@@ -262,7 +252,7 @@ func newInstance(g *core.Graph, demands []core.Demand, eval core.EvalConfig) (*i
 
 // commCost is demand i's edge cost: the energy its packets spend crossing e.
 func (inst *instance) commCost(i int) core.EdgeCostFunc {
-	factor := inst.pkts[i] * inst.eval.TData
+	factor := inst.eval.Packets(inst.demands[i]) * inst.eval.TData
 	return func(_, _ int, w float64) float64 { return factor * w }
 }
 

@@ -11,12 +11,13 @@ import (
 // The local moves of the search, behind the engine abstraction. The
 // incremental engine (incEngine, the default) mutates one live design in
 // place: a move stages an O(|old path| + |new path|) route replacement
-// (or a batch of them for power-down), evaluation folds the ledger's
-// integer-exact terms, and a rejection undoes the staged routes in
-// O(path) — no clone(d) per proposal, zero allocations in steady state.
-// The retained full-recompute path (reference.go) proposes whole candidate
-// designs exactly as the pre-incremental code did; the determinism
-// contract pins the two engines bit-identical.
+// (or a batch of them for power-down), evaluation re-sums Eq. 5 over the
+// ledger's integer-exact refcounts, and a rejection undoes the staged
+// routes in O(path) — no clone(d) per proposal, zero allocations in steady
+// state.
+// A full-recompute reference engine (reference_test.go) proposes whole
+// candidate designs exactly as the pre-incremental code did; the
+// determinism contract pins the two engines bit-identical.
 //
 // All randomness flows through the driver's seeded rng and all tie-breaks
 // are deterministic, so a fixed Options.Seed replays the exact move
@@ -63,16 +64,6 @@ type engine interface {
 	snapshot() *Design
 }
 
-// newEngine picks the search kernel: the incremental one by default, the
-// retained full-recompute reference when the internal flag (or the
-// EEND_OPT_REFERENCE environment variable) asks for it.
-func newEngine(p *Problem, initial *Design, reference bool) engine {
-	if reference {
-		return newRefEngine(p, initial)
-	}
-	return newIncEngine(p, initial)
-}
-
 // routesEqual reports whether two routes visit the same nodes in order.
 func routesEqual(a, b []int) bool {
 	if len(a) != len(b) {
@@ -87,15 +78,14 @@ func routesEqual(a, b []int) bool {
 }
 
 // incEngine is the incremental search kernel. It keeps one live design in
-// sync with a core.Ledger (node refcounts, per-edge route counts, Eq. 5
-// terms) and re-routes over a reusable Dijkstra scratch. The reroute cost
-// closures are bound once at construction and read their per-proposal
-// parameters (packet factor, penalty, forbidden node, staged-route
-// exclusion counts) from engine fields, so a steady-state proposal
-// allocates nothing.
+// sync with a core.Ledger (the Eq. 5 evaluator: node refcounts, endpoint
+// table, packet factors) and re-routes over a reusable Dijkstra scratch.
+// The reroute cost closures are bound once at construction and read their
+// per-proposal parameters (packet factor, penalty, forbidden node,
+// staged-route exclusion counts) from engine fields, so a steady-state
+// proposal allocates nothing.
 type incEngine struct {
 	p   *Problem
-	pp  *problemPrep
 	cur *Design
 	led *core.Ledger
 	sp  core.SPScratch
@@ -137,7 +127,6 @@ type stagedRoute struct {
 func newIncEngine(p *Problem, initial *Design) *incEngine {
 	m := &incEngine{
 		p:         p,
-		pp:        p.prepared(),
 		cur:       clone(initial),
 		led:       p.Graph.NewLedger(p.Demands, p.Eval),
 		forbidden: -1,
@@ -159,7 +148,7 @@ func newIncEngine(p *Problem, initial *Design) *incEngine {
 		if v == m.forbidden {
 			return math.Inf(1)
 		}
-		if m.pp.endpoint[v] || m.led.RefCount(v) > int(m.exCount[v]) {
+		if m.led.Endpoint(v) || m.led.RefCount(v) > int(m.exCount[v]) {
 			return 0
 		}
 		return m.p.Eval.TIdle * m.p.Graph.NodeWeight(v)
@@ -174,7 +163,7 @@ func (m *incEngine) snapshot() *Design { return clone(m.cur) }
 func (m *incEngine) relays() []int {
 	m.relayBuf = m.relayBuf[:0]
 	for v := 0; v < m.p.Graph.Len(); v++ {
-		if m.led.Active(v) && !m.pp.endpoint[v] {
+		if m.led.Active(v) && !m.led.Endpoint(v) {
 			m.relayBuf = append(m.relayBuf, v)
 		}
 	}
@@ -190,7 +179,7 @@ func (m *incEngine) relays() []int {
 // current route's edges to force the search onto alternatives. The
 // returned path aliases the engine's path buffer.
 func (m *incEngine) reroute(i, forbidden int, penalty float64) ([]int, bool) {
-	m.costK = m.pp.pkts[i] * m.p.Eval.TData
+	m.costK = m.led.Pkts(i) * m.p.Eval.TData
 	m.penalty = penalty
 	m.forbidden = forbidden
 	cur := m.cur.Routes[i]
@@ -299,10 +288,10 @@ func (m *incEngine) tryPowerDown(v int) bool {
 	return changed
 }
 
-// evaluate scores the staged design. The analytic objective folds the
-// ledger's terms (bit-identical to Graph.Enetwork, zero allocations); any
-// other objective sees the live design, which is safe because objectives
-// consume it synchronously.
+// evaluate scores the staged design. The analytic objective reads the
+// engine's ledger (the evaluator behind Graph.Enetwork, without rebuilding
+// it per proposal: zero allocations); any other objective sees the live
+// design, which is safe because objectives consume it synchronously.
 func (m *incEngine) evaluate(ctx context.Context, obj Objective) (float64, error) {
 	if a, ok := obj.(analytic); ok && a.p == m.p {
 		return m.led.Energy(m.cur), nil

@@ -13,8 +13,17 @@ import (
 // (Graph.Enetwork for the analytic objective). This is the pre-incremental
 // kernel, kept verbatim behind refEngine so the differential suite can pin
 // the incremental engine bit-identical to it — trajectories, energies and
-// final fingerprints. Select it with the internal Options flag or
-// EEND_OPT_REFERENCE=1.
+// final fingerprints. Select it with engineSeam(true).
+
+// engineSeam returns the Options.newEngine value that selects the
+// reference engine when reference is set, and the default incremental
+// engine otherwise.
+func engineSeam(reference bool) func(*Problem, *Design) engine {
+	if !reference {
+		return nil
+	}
+	return func(p *Problem, initial *Design) engine { return newRefEngine(p, initial) }
+}
 
 // activeExcept returns which nodes appear on routes other than demand skip
 // (skip < 0 considers every route), plus the endpoints of every demand —
@@ -41,13 +50,7 @@ func (p *Problem) activeExcept(d *Design, skip int) []bool {
 // rest of the design; see incEngine.reroute for the pricing rationale.
 func (p *Problem) reroute(d *Design, i int, forbidden int, penalty float64) ([]int, bool) {
 	dm := p.Demands[i]
-	pkts := p.Eval.PacketsPerDemand
-	if pkts == 0 {
-		pkts = 1
-	}
-	if dm.Rate > 0 {
-		pkts *= dm.Rate
-	}
+	pkts := p.Eval.Packets(dm)
 	var onCurrent map[[2]int]bool
 	if penalty > 1 && d.Routes[i] != nil {
 		onCurrent = make(map[[2]int]bool)

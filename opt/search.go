@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"os"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"eend/internal/core"
@@ -189,17 +187,19 @@ type Options struct {
 	// trajectory.
 	Tracer *obs.Tracer
 
-	// reference (internal) forces the retained full-recompute engine:
-	// clone-per-proposal moves scored from scratch. The differential suite
-	// sets it to pin the incremental engine bit-identical; the
-	// EEND_OPT_REFERENCE=1 environment variable forces it process-wide.
-	reference bool
+	// newEngine (internal) replaces the incremental search kernel; nil
+	// selects it. The differential suite installs the full-recompute
+	// reference engine here to pin the two bit-identical.
+	newEngine func(p *Problem, initial *Design) engine
 }
 
-// referenceEngineEnv reads the EEND_OPT_REFERENCE escape hatch once.
-var referenceEngineEnv = sync.OnceValue(func() bool {
-	return os.Getenv("EEND_OPT_REFERENCE") == "1"
-})
+// engineFor builds the search kernel for one driver run.
+func (o *Options) engineFor(p *Problem, initial *Design) engine {
+	if o.newEngine != nil {
+		return o.newEngine(p, initial)
+	}
+	return newIncEngine(p, initial)
+}
 
 // Step is one search iteration's outcome.
 type Step struct {
@@ -389,9 +389,6 @@ func (p *Problem) Search(ctx context.Context, obj Objective, o Options) (*Result
 	if o.Restarts <= 0 {
 		o.Restarts = 3
 	}
-	if referenceEngineEnv() {
-		o.reference = true
-	}
 
 	res := &Result{
 		Algorithm: o.Algorithm.String(),
@@ -416,7 +413,7 @@ func (p *Problem) Search(ctx context.Context, obj Objective, o Options) (*Result
 	st := &searchState{
 		p: p, obj: obj, o: &o,
 		rng:  rand.New(rand.NewPCG(o.Seed, 0x0e31)),
-		eng:  newEngine(p, initial, o.reference),
+		eng:  o.engineFor(p, initial),
 		curE: initE,
 		best: initial, bestE: initE, lastBest: math.Inf(1),
 		res: res,
@@ -606,10 +603,10 @@ func (p *Problem) runOneRestart(ctx context.Context, obj Objective, o Options, a
 	// The restart records its own trajectory (Trace on) for the ordered
 	// merge; OnStep stays with the merging parent so observer calls remain
 	// sequential and deterministic.
-	local := Options{Algorithm: Greedy, Seed: o.Seed, Iterations: budget, Trace: true, reference: o.reference}
+	local := Options{Algorithm: Greedy, Seed: o.Seed, Iterations: budget, Trace: true, newEngine: o.newEngine}
 	st := &searchState{
 		p: p, obj: obj, o: &local, rng: rng,
-		eng:  newEngine(p, init, local.reference),
+		eng:  local.engineFor(p, init),
 		curE: e, best: init, bestE: e,
 		res: &Result{},
 	}

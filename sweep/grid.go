@@ -23,6 +23,7 @@ package sweep
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -84,26 +85,40 @@ func checkAxis(axes []Axis, name string, n int) error {
 // order cmd/eendsweep uses for CSV output).
 func (g *Grid) Axes() []Axis { return append([]Axis(nil), g.axes...) }
 
-// Size returns the number of points the grid expands to.
+// Size returns the number of points the grid expands to, or math.MaxInt
+// when that count overflows an int (Validate rejects such a grid).
 func (g *Grid) Size() int {
-	if len(g.axes) == 0 {
-		return 0
-	}
-	n := 1
-	for _, a := range g.axes {
-		n *= len(a.Values)
-	}
+	n, _ := g.size()
 	return n
 }
 
+// size multiplies the axis lengths, reporting false (with n saturated at
+// math.MaxInt) if the product overflows.
+func (g *Grid) size() (n int, ok bool) {
+	if len(g.axes) == 0 {
+		return 0, true
+	}
+	n = 1
+	for _, a := range g.axes {
+		if n > 0 && len(a.Values) > math.MaxInt/n { // n == 0: an axis without values
+			return math.MaxInt, false
+		}
+		n *= len(a.Values)
+	}
+	return n, true
+}
+
 // Validate reports the first construction error: empty or duplicate axis,
-// unknown axis name, or an empty grid.
+// unknown axis name, an empty grid, or one whose point count overflows.
 func (g *Grid) Validate() error {
 	if g.err != nil {
 		return g.err
 	}
 	if len(g.axes) == 0 {
 		return fmt.Errorf("sweep: empty grid")
+	}
+	if _, ok := g.size(); !ok {
+		return fmt.Errorf("sweep: grid point count overflows")
 	}
 	return nil
 }
@@ -173,6 +188,9 @@ func ParseGrid(spec string) (*Grid, error) {
 	return g, nil
 }
 
+// maxSpan caps the values one lo..hi span expands to.
+const maxSpan = 10000
+
 // expandSpan turns "lo..hi" into the inclusive integer range; any other
 // token passes through verbatim.
 func expandSpan(v string) ([]any, error) {
@@ -188,8 +206,9 @@ func expandSpan(v string) ([]any, error) {
 	if b < a {
 		return nil, fmt.Errorf("sweep: span %q is decreasing", v)
 	}
-	if b-a >= 10000 {
-		return nil, fmt.Errorf("sweep: span %q expands to %d values", v, b-a+1)
+	// b >= a, so b-a fits in a uint64 even where it overflows an int.
+	if uint64(b)-uint64(a) >= maxSpan {
+		return nil, fmt.Errorf("sweep: span %q expands to more than %d values", v, maxSpan)
 	}
 	out := make([]any, 0, b-a+1)
 	for i := a; i <= b; i++ {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -39,11 +40,44 @@ func TestParseGridErrors(t *testing.T) {
 		"bad span":        "seed=1..x",
 		"reversed span":   "seed=9..3",
 		"huge span":       "seed=1..99999",
+		// b-a overflows an int: the width must still be caught.
+		"overflowing span": "seed=-2..9223372036854775807",
+		"min..max span":    "seed=-9223372036854775808..9223372036854775807",
+		"overflowing size": "seed=1..2048 nodes=1..2048 field=1..2048 flows=1..2048 rate=1..2048 dur=1..2048",
 	}
 	for name, spec := range cases {
 		if _, err := ParseGrid(spec); err == nil {
 			t.Errorf("%s: ParseGrid(%q) accepted", name, spec)
 		}
+	}
+}
+
+// overflowGrid builds a grid with len(sizes) axes of the given lengths.
+func overflowGrid(sizes ...int) *Grid {
+	names := []string{"seed", "nodes", "field", "flows", "rate", "dur"}
+	g := NewGrid()
+	for i, n := range sizes {
+		vals := make([]any, n)
+		for j := range vals {
+			vals[j] = j + 1
+		}
+		g.Axis(names[i], vals...)
+	}
+	return g
+}
+
+// TestGridSizeSaturates: Size reports an overflowing point count as
+// math.MaxInt, not a wrapped value, and stays exact just below it and for
+// an (invalid) grid with an empty axis.
+func TestGridSizeSaturates(t *testing.T) {
+	if n := NewGrid().Axis("nodes").Axis("seed", 1, 2).Size(); n != 0 {
+		t.Errorf("Size with an empty axis = %d, want 0", n)
+	}
+	if n := overflowGrid(2048, 2048, 2048, 2048, 2048, 2048).Size(); n != math.MaxInt {
+		t.Errorf("overflowing Size = %d, want math.MaxInt", n)
+	}
+	if g := overflowGrid(2048, 2048, 2048, 2048, 2048, 255); g.Validate() != nil || g.Size() != 255<<55 {
+		t.Errorf("grid just below the overflow: Validate %v, Size %d", g.Validate(), g.Size())
 	}
 }
 
@@ -54,6 +88,10 @@ func TestGridBuilderErrors(t *testing.T) {
 		"duplicate axis": NewGrid().Axis("nodes", 10).Axis("nodes", 20),
 		"unknown axis":   NewGrid().Axis("antennas", 3),
 		"empty grid":     NewGrid(),
+		// Unchecked, six 2048-value axes wrap the point count to 0 and
+		// 2^63 points wrap it negative.
+		"size wraps to 0":        overflowGrid(2048, 2048, 2048, 2048, 2048, 2048),
+		"size wraps to negative": overflowGrid(2048, 2048, 2048, 2048, 2048, 256),
 	}
 	for name, g := range cases {
 		if err := g.Validate(); err == nil {
