@@ -79,17 +79,14 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 
 // edgeIndex is the sorted-adjacency view of the graph: per node, its
 // neighbors ascending by id with parallel edges collapsed to their minimum
-// weight, each entry carrying a packed undirected edge id. It turns
-// EdgeWeight's O(deg) scan into O(log deg) and gives per-edge bookkeeping
-// (the search's swap penalties) an O(1) dense id space.
+// weight. It turns EdgeWeight's O(deg) scan into O(log deg).
 type edgeIndex struct {
 	nbr   [][]nbrEdge
-	edgeW []float64 // packed edge id -> weight
+	edges int // distinct undirected edges
 }
 
 type nbrEdge struct {
 	to int32
-	id int32
 	w  float64
 }
 
@@ -126,26 +123,9 @@ func (g *Graph) index() *edgeIndex {
 			out = append(out, e)
 		}
 		ix.nbr[u] = out
-	}
-	// Edge ids are assigned in lexicographic (u,v) order over u < v, then
-	// mirrored to the v-side entries — a label-determined packing, so equal
-	// graphs index equally.
-	for u := 0; u < g.n; u++ {
-		for i := range ix.nbr[u] {
-			if v := int(ix.nbr[u][i].to); v > u {
-				ix.nbr[u][i].id = int32(len(ix.edgeW))
-				ix.edgeW = append(ix.edgeW, ix.nbr[u][i].w)
-			}
-		}
-	}
-	for u := 0; u < g.n; u++ {
-		for i := range ix.nbr[u] {
-			if v := int(ix.nbr[u][i].to); v < u {
-				e, ok := ix.find(v, u)
-				if !ok {
-					panic(fmt.Sprintf("core: edge index asymmetry on {%d,%d}", v, u))
-				}
-				ix.nbr[u][i].id = e.id
+		for _, e := range out {
+			if int(e.to) > u {
+				ix.edges++
 			}
 		}
 	}
@@ -182,20 +162,9 @@ func (g *Graph) EdgeWeight(u, v int) (float64, bool) {
 	return math.Inf(1), false
 }
 
-// EdgeID returns the packed id of edge {u,v} — a dense [0, NumEdges)
-// label shared by both directions — and whether the edge exists.
-func (g *Graph) EdgeID(u, v int) (int, bool) {
-	g.check(u)
-	g.check(v)
-	if e, ok := g.index().find(u, v); ok {
-		return int(e.id), true
-	}
-	return -1, false
-}
-
 // NumEdges returns the number of distinct undirected edges (parallel edges
-// collapsed) — the size of the EdgeID space.
-func (g *Graph) NumEdges() int { return len(g.index().edgeW) }
+// collapsed).
+func (g *Graph) NumEdges() int { return g.index().edges }
 
 // Half is one (neighbor, weight) adjacency entry.
 type Half struct {

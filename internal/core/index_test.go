@@ -44,6 +44,7 @@ func TestEdgeIndexMatchesNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 1))
 	for trial := 0; trial < 10; trial++ {
 		g := randomGraph(rng, 12+rng.IntN(10))
+		distinct := 0
 		for u := 0; u < g.Len(); u++ {
 			for v := 0; v < g.Len(); v++ {
 				if u == v {
@@ -54,15 +55,13 @@ func TestEdgeIndexMatchesNaiveScan(t *testing.T) {
 				if wok != iok || (wok && ww != iw) {
 					t.Fatalf("trial %d: EdgeWeight(%d,%d) = %v,%v want %v,%v", trial, u, v, iw, iok, ww, wok)
 				}
-				id1, ok1 := g.EdgeID(u, v)
-				id2, ok2 := g.EdgeID(v, u)
-				if ok1 != wok || ok2 != wok || id1 != id2 {
-					t.Fatalf("trial %d: EdgeID(%d,%d)=%d,%v EdgeID(%d,%d)=%d,%v (exists %v)", trial, u, v, id1, ok1, v, u, id2, ok2, wok)
+				if wok && u < v {
+					distinct++
 				}
 			}
 		}
-		if ne := g.NumEdges(); ne <= 0 || ne > g.Len()*(g.Len()-1)/2 {
-			t.Fatalf("NumEdges = %d out of range", ne)
+		if ne := g.NumEdges(); ne != distinct {
+			t.Fatalf("trial %d: NumEdges = %d, want %d distinct edges", trial, ne, distinct)
 		}
 	}
 }

@@ -134,3 +134,42 @@ func BenchmarkRestartSearchAnalytic(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBoundLagrange is the bound oracle's rung at two preset sizes:
+// one certified Lagrangian Compute (150 iterations, eight demands fanned
+// out over GOMAXPROCS workers) on a field preset's deployment, built
+// through FromScenario exactly as the design pipeline builds it.
+func BenchmarkBoundLagrange(b *testing.B) {
+	for _, preset := range []string{"field-100", "field-1k"} {
+		b.Run(preset, func(b *testing.B) {
+			fp, err := eend.ParseFieldPreset(preset)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sc, err := eend.NewScenario(append([]eend.Option{
+				eend.WithSeed(3),
+				eend.WithCard(eend.Cabletron),
+				eend.WithRandomFlows(8, 2*1024, 128),
+				eend.WithDuration(300 * time.Second),
+			}, fp.Options()...)...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, err := FromScenario(sc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r, err := p.Bound(BoundOptions{Tier: BoundLagrange, Seed: 3})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.ReportMetric(float64(r.Iterations), "iters")
+				}
+			}
+		})
+	}
+}

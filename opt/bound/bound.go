@@ -32,8 +32,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"eend/internal/core"
 )
@@ -187,6 +190,7 @@ func Compute(g *core.Graph, demands []core.Demand, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer inst.fan.stop()
 	comm, idle, err := inst.combinatorial()
 	if err != nil {
 		return nil, err
@@ -217,12 +221,18 @@ type instance struct {
 	relayIx []int     // node -> index in relays, or -1
 	idleW   []float64 // TIdle·c(v) per relay index
 
-	// sp and pathBuf are the ascent's reusable shortest-path scratch: the
-	// subgradient loop runs one Dijkstra per demand per iteration, and the
-	// scratch keeps that inner loop allocation-free. An instance is used
-	// by one ascent at a time.
-	sp      core.SPScratch
-	pathBuf []int
+	// fan solves each round's per-demand subproblems concurrently. A
+	// subproblem for demand i writes only its slots — cost[i], idle[i] and
+	// x[i] — and the caller folds the slots in demand order, so every sum
+	// is bit-identical at any worker count.
+	fan  *fan
+	cost []float64 // demand i's shortest-path cost this round
+	idle []float64 // demand i's cheapest awake-relay chain (combinatorial)
+	lam  [][]float64
+	x    [][]bool // demand i's last path crosses relay j
+	// combJob and evalJob are bound once per Compute: a method value
+	// handed to the fan each round would allocate each round.
+	combJob, evalJob func(w *worker, i int)
 }
 
 func newInstance(g *core.Graph, demands []core.Demand, eval core.EvalConfig) (*instance, error) {
@@ -247,6 +257,10 @@ func newInstance(g *core.Graph, demands []core.Demand, eval core.EvalConfig) (*i
 			inst.idleW = append(inst.idleW, eval.TIdle*g.NodeWeight(v))
 		}
 	}
+	inst.cost = make([]float64, len(demands))
+	inst.idle = make([]float64, len(demands))
+	inst.combJob, inst.evalJob = inst.combDemand, inst.evalDemand
+	inst.fan = newFan(len(demands))
 	return inst, nil
 }
 
@@ -256,6 +270,16 @@ func (inst *instance) commCost(i int) core.EdgeCostFunc {
 	return func(_, _ int, w float64) float64 { return factor * w }
 }
 
+// idleCost prices entering v at its idling bill (0 for endpoints).
+func (inst *instance) idleCost(v int) float64 {
+	if j := inst.relayIx[v]; j >= 0 {
+		return inst.idleW[j]
+	}
+	return 0
+}
+
+func zeroEdge(_, _ int, _ float64) float64 { return 0 }
+
 // combinatorial computes the tier-1 floors. The communication floor sums,
 // per demand, the cheapest-energy path as if relays were free — any route
 // the optimum picks costs at least that much to cross. The idle floor is
@@ -264,37 +288,38 @@ func (inst *instance) commCost(i int) core.EdgeCostFunc {
 // least the largest per-demand minimum. The two floors bound disjoint
 // terms of Enetwork, so their sum is a valid bound.
 func (inst *instance) combinatorial() (comm, idle float64, err error) {
-	idleCost := func(v int) float64 {
-		if j := inst.relayIx[v]; j >= 0 {
-			return inst.idleW[j]
-		}
-		return 0
-	}
-	zeroEdge := func(_, _ int, _ float64) float64 { return 0 }
+	inst.fan.run(len(inst.demands), inst.combJob)
 	for i, dm := range inst.demands {
-		path, c := inst.g.ShortestPathInto(&inst.sp, dm.Src, dm.Dst, inst.commCost(i), nil, inst.pathBuf)
-		inst.pathBuf = path
-		if len(path) == 0 {
+		// ShortestPathInto prices exactly the unreachable pairs at +Inf.
+		if math.IsInf(inst.cost[i], 1) {
 			return 0, 0, fmt.Errorf("bound: demand %d (%d->%d) is unroutable", i, dm.Src, dm.Dst)
 		}
-		comm += c
-		path, c = inst.g.ShortestPathInto(&inst.sp, dm.Src, dm.Dst, zeroEdge, idleCost, inst.pathBuf)
-		inst.pathBuf = path
-		if c > idle {
-			idle = c
+		comm += inst.cost[i]
+		if inst.idle[i] > idle {
+			idle = inst.idle[i]
 		}
 	}
 	return comm, idle, nil
+}
+
+// combDemand is demand i's pair of combinatorial queries.
+func (inst *instance) combDemand(w *worker, i int) {
+	dm := inst.demands[i]
+	w.path, inst.cost[i] = inst.g.ShortestPathInto(&w.sp, dm.Src, dm.Dst, inst.commCost(i), nil, w.path)
+	if len(w.path) == 0 {
+		return
+	}
+	w.path, inst.idle[i] = inst.g.ShortestPathInto(&w.sp, dm.Src, dm.Dst, zeroEdge, inst.idleCost, w.path)
 }
 
 // evaluate computes L(λ) = Σ_i SP_i(comm + λ_i) + Σ_v min(0, idleW_v − Σ_i λ_iv)
 // and fills x (demand i's path crosses relay j) and open (the relay
 // subproblem keeps j awake). The relay terms are summed sorted by value and
 // the demand terms in demand order — both label-independent orders — so the
-// value is bit-identical on every run AND under any node relabeling of the
-// input graph (given the relabeled instance presents its demands in the
-// same order).
-func (inst *instance) evaluate(lam [][]float64, sumLam []float64, x [][]bool, open []bool, terms []float64) float64 {
+// value is bit-identical on every run, at any worker count, AND under any
+// node relabeling of the input graph (given the relabeled instance
+// presents its demands in the same order).
+func (inst *instance) evaluate(sumLam []float64, open []bool, terms []float64) float64 {
 	terms = terms[:0]
 	for j := range inst.relays {
 		open[j] = inst.idleW[j]-sumLam[j] < 0
@@ -307,28 +332,122 @@ func (inst *instance) evaluate(lam [][]float64, sumLam []float64, x [][]bool, op
 	for _, t := range terms {
 		total += t
 	}
-	for i, dm := range inst.demands {
-		li := lam[i]
-		nodeCost := func(v int) float64 {
-			if j := inst.relayIx[v]; j >= 0 {
-				return li[j]
-			}
-			return 0
-		}
-		path, c := inst.g.ShortestPathInto(&inst.sp, dm.Src, dm.Dst, inst.commCost(i), nodeCost, inst.pathBuf)
-		inst.pathBuf = path
+	inst.fan.run(len(inst.demands), inst.evalJob)
+	for _, c := range inst.cost {
 		total += c
-		xi := x[i]
-		for j := range xi {
-			xi[j] = false
-		}
-		for _, v := range path {
-			if j := inst.relayIx[v]; j >= 0 {
-				xi[j] = true
-			}
-		}
 	}
 	return total
+}
+
+// evalDemand is demand i's Lagrangian subproblem: its shortest path under
+// the traffic cost plus its multipliers on the relays it enters.
+func (inst *instance) evalDemand(w *worker, i int) {
+	li := inst.lam[i]
+	nodeCost := func(v int) float64 {
+		if j := inst.relayIx[v]; j >= 0 {
+			return li[j]
+		}
+		return 0
+	}
+	dm := inst.demands[i]
+	w.path, inst.cost[i] = inst.g.ShortestPathInto(&w.sp, dm.Src, dm.Dst, inst.commCost(i), nodeCost, w.path)
+	xi := inst.x[i]
+	clear(xi)
+	for _, v := range w.path {
+		if j := inst.relayIx[v]; j >= 0 {
+			xi[j] = true
+		}
+	}
+}
+
+// worker is one participant's private shortest-path state.
+type worker struct {
+	sp   core.SPScratch
+	path []int
+}
+
+// fan runs rounds of independent subproblems on the calling goroutine
+// plus min(GOMAXPROCS, k)−1 helper goroutines that live until stop. Every
+// participant, the caller included, claims indices through one atomic
+// counter, so a round completes even if no helper is ever scheduled — and
+// with one demand or GOMAXPROCS=1 there are no helpers at all. A panic in
+// a helper's subproblem is re-raised by run on the caller's goroutine.
+type fan struct {
+	workers []worker // workers[0] is the caller's
+	n       int      // subproblems in the current round
+	job     func(w *worker, i int)
+	next    atomic.Int64
+	start   chan struct{} // one token per helper per round; closed by stop
+	round   sync.WaitGroup
+	exited  sync.WaitGroup
+
+	mu       sync.Mutex
+	panicked bool
+	panicVal any
+}
+
+func newFan(k int) *fan {
+	f := &fan{workers: make([]worker, min(runtime.GOMAXPROCS(0), k))}
+	helpers := len(f.workers) - 1
+	f.start = make(chan struct{}, helpers)
+	f.exited.Add(helpers)
+	for h := 1; h <= helpers; h++ {
+		go f.help(&f.workers[h])
+	}
+	return f
+}
+
+// run solves job(w, i) for every i in [0, n) and returns when all are done.
+func (f *fan) run(n int, job func(w *worker, i int)) {
+	f.n, f.job = n, job
+	f.next.Store(0)
+	helpers := len(f.workers) - 1
+	f.round.Add(helpers)
+	for h := 0; h < helpers; h++ {
+		f.start <- struct{}{}
+	}
+	f.claim(&f.workers[0])
+	f.round.Wait()
+	if f.panicked {
+		panic(f.panicVal)
+	}
+}
+
+// claim solves unclaimed subproblems of the current round until none is left.
+func (f *fan) claim(w *worker) {
+	for i := f.next.Add(1) - 1; i < int64(f.n); i = f.next.Add(1) - 1 {
+		f.job(w, int(i))
+	}
+}
+
+func (f *fan) help(w *worker) {
+	defer f.exited.Done()
+	for range f.start {
+		f.helpRound(w)
+	}
+}
+
+func (f *fan) helpRound(w *worker) {
+	defer f.round.Done()
+	defer func() {
+		if p := recover(); p != nil {
+			f.mu.Lock()
+			if !f.panicked {
+				f.panicked, f.panicVal = true, p
+			}
+			f.mu.Unlock()
+		}
+	}()
+	f.claim(w)
+}
+
+// stop ends the helpers and waits for them to exit. It is safe on every
+// path out of Compute, including a panic mid-round: the exhausted counter
+// makes helpers drop the round's unclaimed subproblems.
+func (f *fan) stop() {
+	f.next.Store(math.MaxInt32)
+	close(f.start)
+	f.exited.Wait()
 }
 
 // stallWindow is how many iterations without a best-bound improvement the
@@ -360,6 +479,7 @@ func (inst *instance) subgradient(res *Result, o Options) {
 		lam[i] = make([]float64, len(inst.relays))
 		x[i] = make([]bool, len(inst.relays))
 	}
+	inst.lam, inst.x = lam, x
 	sumLam := make([]float64, len(inst.relays))
 	open := make([]bool, len(inst.relays))
 	terms := make([]float64, 0, len(inst.relays))
@@ -371,7 +491,7 @@ func (inst *instance) subgradient(res *Result, o Options) {
 	alpha := 2.0
 	stalled := 0
 	for it := 1; it <= o.Iterations; it++ {
-		l := inst.evaluate(lam, sumLam, x, open, terms)
+		l := inst.evaluate(sumLam, open, terms)
 		res.Iterations = it
 		if l > res.Value {
 			res.Value = l

@@ -250,3 +250,36 @@ func TestPowerDownBatchFailureRevertsPrefix(t *testing.T) {
 	}
 	ledgerMatches(t, m2, "committed power-down")
 }
+
+// TestSwapFromUnroutedDemandMatchesReference swaps a demand that has no
+// route yet right after swapping one that has: the second swap must
+// penalize nothing, as in the reference engine, rather than the edges of
+// the route the first swap indexed.
+func TestSwapFromUnroutedDemandMatchesReference(t *testing.T) {
+	g := core.NewGraph(4)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 3, 1)
+	g.AddEdge(0, 2, 1.5)
+	g.AddEdge(2, 3, 1.5)
+	p := &Problem{
+		Graph:   g,
+		Demands: []Demand{{Src: 0, Dst: 3}, {Src: 0, Dst: 3}},
+		Eval:    EvalConfig{TIdle: 1, TData: 1},
+	}
+	initial := &Design{Routes: [][]int{nil, {0, 1, 3}}}
+	var routes [2][]int
+	for k, eng := range []engine{newIncEngine(p, initial), newRefEngine(p, initial)} {
+		rng := rand.New(rand.NewPCG(1, 2))
+		if eng.trySwap(1, rng) {
+			eng.revert()
+		}
+		if !eng.trySwap(0, rng) {
+			t.Fatalf("engine %d: swap of the unrouted demand staged nothing", k)
+		}
+		eng.commit()
+		routes[k] = append([]int(nil), eng.design().Routes[0]...)
+	}
+	if !routesEqual(routes[0], routes[1]) || !routesEqual(routes[1], []int{0, 1, 3}) {
+		t.Fatalf("unrouted demand swapped onto %v (incremental) and %v (reference), want [0 1 3]", routes[0], routes[1])
+	}
+}

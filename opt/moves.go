@@ -96,10 +96,15 @@ type incEngine struct {
 	costK     float64
 	penalty   float64
 	forbidden int
-	// onCur marks (by epoch stamp, so clearing is free) the edge ids of
-	// the rerouted demand's current route — the edges a swap penalizes.
-	onCurEpoch uint32
-	onCur      []uint32
+	// The rerouted demand's current route, indexed by node for the swap
+	// penalty: hopHead[u] starts u's list of route neighbours in hops,
+	// valid while hopEpoch[u] == epoch (so clearing is free). A simple
+	// route gives every node at most two entries, so the test per edge
+	// relaxation is O(1).
+	epoch    uint32
+	hopEpoch []uint32
+	hopHead  []int32
+	hops     []routeHop
 	// exCount is the rerouted demand's own node occurrence count: a node
 	// is "already paid for" iff it is an endpoint or other routes cross it
 	// (refcount > exCount), which is exactly activeExcept's semantics.
@@ -124,23 +129,27 @@ type stagedRoute struct {
 	old []int
 }
 
+// routeHop is one entry of a node's route-neighbour list.
+type routeHop struct {
+	to, next int32
+}
+
 func newIncEngine(p *Problem, initial *Design) *incEngine {
 	m := &incEngine{
 		p:         p,
 		cur:       clone(initial),
 		led:       p.Graph.NewLedger(p.Demands, p.Eval),
 		forbidden: -1,
-		onCur:     make([]uint32, p.Graph.NumEdges()),
+		hopEpoch:  make([]uint32, p.Graph.Len()),
+		hopHead:   make([]int32, p.Graph.Len()),
 		exCount:   make([]int32, p.Graph.Len()),
 		spare:     make([][]int, len(p.Demands)),
 	}
 	m.led.Reset(m.cur)
 	m.edgeCostFn = func(u, v int, w float64) float64 {
 		c := m.costK * w
-		if m.penalty > 1 {
-			if id, ok := m.p.Graph.EdgeID(u, v); ok && m.onCur[id] == m.onCurEpoch {
-				c *= m.penalty
-			}
+		if m.penalty > 1 && m.onCurRoute(u, v) {
+			c *= m.penalty
 		}
 		return c
 	}
@@ -183,17 +192,8 @@ func (m *incEngine) reroute(i, forbidden int, penalty float64) ([]int, bool) {
 	m.penalty = penalty
 	m.forbidden = forbidden
 	cur := m.cur.Routes[i]
-	if penalty > 1 && cur != nil {
-		m.onCurEpoch++
-		if m.onCurEpoch == 0 { // epoch wrapped: stale stamps could alias
-			clear(m.onCur)
-			m.onCurEpoch = 1
-		}
-		for j := 0; j+1 < len(cur); j++ {
-			if id, ok := m.p.Graph.EdgeID(cur[j], cur[j+1]); ok {
-				m.onCur[id] = m.onCurEpoch
-			}
-		}
+	if penalty > 1 {
+		m.markRoute(cur)
 	}
 	for _, v := range cur {
 		m.exCount[v]++
@@ -208,6 +208,44 @@ func (m *incEngine) reroute(i, forbidden int, penalty float64) ([]int, bool) {
 		return nil, false
 	}
 	return path, true
+}
+
+// markRoute indexes route's hops for onCurRoute, both directions of each.
+func (m *incEngine) markRoute(route []int) {
+	m.epoch++
+	if m.epoch == 0 { // epoch wrapped: stale stamps could alias
+		clear(m.hopEpoch)
+		m.epoch = 1
+	}
+	m.hops = m.hops[:0]
+	for j := 0; j+1 < len(route); j++ {
+		m.linkHop(route[j], route[j+1])
+		m.linkHop(route[j+1], route[j])
+	}
+}
+
+func (m *incEngine) linkHop(u, v int) {
+	if m.hopEpoch[u] != m.epoch {
+		m.hopEpoch[u] = m.epoch
+		m.hopHead[u] = -1
+	}
+	m.hops = append(m.hops, routeHop{to: int32(v), next: m.hopHead[u]})
+	m.hopHead[u] = int32(len(m.hops) - 1)
+}
+
+// onCurRoute reports whether {u,v} is a hop of the route markRoute last
+// indexed — the edge set a swap penalizes (parallel edges included, as
+// they share the hop).
+func (m *incEngine) onCurRoute(u, v int) bool {
+	if m.hopEpoch[u] != m.epoch {
+		return false
+	}
+	for k := m.hopHead[u]; k >= 0; k = m.hops[k].next {
+		if int(m.hops[k].to) == v {
+			return true
+		}
+	}
+	return false
 }
 
 // stage replaces demand i's route with path (copied into the demand's
