@@ -253,9 +253,12 @@ func (n *quietListener) RxEnd(*phy.Frame, bool) { n.rx++ }
 // op is one max-power broadcast frame through Transmit and completion
 // (fan-out, carrier-sense overlay, inbox bookkeeping, RxBegin/RxEnd to
 // every in-range listener) on a field at the paper's reference density.
-// With the spatial index the per-frame cost depends on the ~50-node
+// With the neighbour tables the per-frame cost depends on the ~50-node
 // neighborhood, not the field, so ns/op must stay roughly flat from 1k to
-// 10k nodes — the scaling curve BENCH_kernel.json tracks in CI.
+// 10k nodes — the scaling curve BENCH_kernel.json tracks in CI. Senders
+// go round-robin, so a frame is its sender's first (and builds the
+// sender's table) until every node has sent once: at CI's 2000 frames
+// that is half the 1k tier and all of the 10k tier.
 func BenchmarkMediumScale(b *testing.B) {
 	for _, tier := range []struct {
 		name string
@@ -301,10 +304,11 @@ func BenchmarkMediumScale(b *testing.B) {
 	}
 }
 
-// BenchmarkGridQuery is the steady-state spatial-index probe: candidate
-// lookup around a point on a 10k-node constant-density field, into a
-// retained buffer. CI gates it at 0 allocs/op (tools/benchjson
-// -assert-zero-allocs) so the index can never start allocating per frame.
+// BenchmarkGridQuery is the steady-state spatial-index probe that builds
+// a node's neighbour table: candidate lookup around a point on a 10k-node
+// constant-density field, into a retained buffer. CI gates it at 0
+// allocs/op (tools/benchjson -assert-zero-allocs) so table builds can
+// never start allocating per candidate.
 func BenchmarkGridQuery(b *testing.B) {
 	b.ReportAllocs()
 	const n = 10000

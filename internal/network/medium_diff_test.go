@@ -29,6 +29,7 @@ func TestRunFingerprintGridVsLinearMedium(t *testing.T) {
 		{Routing: ProtoTITAN, PM: PMODPM, PowerControl: true},
 		{Routing: ProtoDSR, PM: PMODPM},
 		{Routing: ProtoDSDVH, PM: PMAlwaysActive},
+		{Routing: ProtoDSDV, PM: PMODPM},
 	}
 	cards := []radio.Card{radio.Cabletron, radio.Aironet350}
 

@@ -9,17 +9,22 @@
 // callbacks, matching the paper's energy model in which Prx is paid for all
 // receptions.
 //
-// The medium is spatially indexed: attached positions are bucketed into a
-// geom.Grid whose cell side is the maximum radio range, so transmission
-// fan-out, carrier sense and neighbor queries visit only the candidate
-// cells around a point — O(neighbors) work per frame at fixed node density
-// instead of O(n). The index is an optimization only: candidates are
-// sorted back into attach order before any callback fires, so results are
-// bit-identical to the Config.Linear reference scan (the differential
-// tests pin this).
+// Positions are captured at Attach and topologies are static, so a node's
+// possible receivers are fixed by geometry and the maximum radio range.
+// The medium keeps, per node, a neighbour table: every listener within
+// RangeAt(+Inf), in attach order, with its exact distance. A table is
+// built once, on the node's first frame or neighbour query, from a
+// geom.Grid whose cell side is the maximum range; the candidates are
+// sorted into attach order then, once per node, not once per frame.
+// Transmission fan-out and neighbour queries walk the table and compare
+// the stored distance against the frame's radius — O(neighbors) per frame
+// with no sort and no square root. The grid also holds the carrier-sense
+// overlay. All of this is an optimization only: results are bit-identical
+// to the Config.Linear reference scan (the differential tests pin this).
 package phy
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -67,14 +72,16 @@ type Config struct {
 	Preamble  time.Duration // PHY preamble + PLCP header per frame
 	// RangeAt maps transmit power (W) to communication radius (m); usually
 	// Card.RangeAt. Carrier-sense radius is assumed equal (documented
-	// simplification). The spatial index sizes its cells to the maximum
-	// radius, RangeAt(+Inf).
+	// simplification). The maximum radius, RangeAt(+Inf), bounds every
+	// other: the neighbour tables hold exactly the listeners within it, so
+	// Transmit panics on a power whose RangeAt exceeds RangeAt(+Inf).
 	RangeAt func(power float64) float64
-	// Linear disables the spatial index: every query falls back to the
-	// original O(n) scan over all attached listeners. Results are
-	// bit-identical either way — the index only prunes candidates and the
-	// visit order is attach order in both modes — which is exactly what
-	// the differential tests assert by running both media on one scenario.
+	// Linear disables the neighbour tables and spatial index: every query
+	// falls back to the original O(n) scan over all attached listeners.
+	// Results are bit-identical either way — the tables only prune
+	// candidates and the visit order is attach order in both modes — which
+	// is exactly what the differential tests assert by running both media
+	// on one scenario.
 	Linear bool
 }
 
@@ -105,6 +112,13 @@ type transmission struct {
 	recips []int32 // attach indices RxBegin was delivered to, ascending
 }
 
+// neighbor is one row of a node's neighbour table: a listener's attach
+// index and its exact distance from the table's owner.
+type neighbor struct {
+	idx  int32
+	dist float64
+}
+
 // finisher is a pooled end-of-frame callback: fn is bound to run exactly
 // once when the finisher is created, so scheduling a frame's completion
 // costs no closure allocation after the pool warms up.
@@ -131,7 +145,7 @@ type Medium struct {
 	byID      map[int]Listener
 	idxByID   map[int]int32
 
-	maxRange float64 // index cell side: cfg.RangeAt(+Inf)
+	maxRange float64 // index cell side and table reach: cfg.RangeAt(+Inf)
 
 	// Spatial index, rebuilt lazily after an Attach invalidates it. The
 	// activeCells overlay registers each ongoing transmission in every
@@ -139,7 +153,13 @@ type Medium struct {
 	// instead of all active transmissions.
 	grid        *geom.Grid
 	activeCells [][]*transmission
-	scratch     []int32 // reusable candidate buffer (see takeScratch)
+
+	// Per-attach-index neighbour tables (see neighbors), reset with the
+	// index. A nil entry is not built yet; a built table of an isolated
+	// node is empty but non-nil.
+	tables  [][]neighbor
+	scratch []int32    // reusable grid-candidate buffer for table builds
+	rows    []neighbor // reusable row buffer for table builds
 
 	activeAll []*transmission // all ongoing transmissions, start order
 
@@ -175,8 +195,9 @@ func NewMedium(s *sim.Simulator, cfg Config) *Medium {
 }
 
 // Attach registers a listener. Node ids must be unique. Attaching
-// invalidates the spatial index; it is rebuilt (and ongoing transmissions
-// re-registered) on the next query.
+// invalidates the spatial index and every neighbour table; the index is
+// rebuilt (and ongoing transmissions re-registered) on the next query, and
+// each table on its node's next frame or neighbour query.
 func (m *Medium) Attach(l Listener) {
 	id := l.NodeID()
 	if _, dup := m.byID[id]; dup {
@@ -187,7 +208,7 @@ func (m *Medium) Attach(l Listener) {
 	m.listeners = append(m.listeners, l)
 	m.pos = append(m.pos, l.Pos())
 	m.inboxes = append(m.inboxes, nil)
-	m.grid, m.activeCells = nil, nil
+	m.grid, m.activeCells, m.tables = nil, nil, nil
 }
 
 // ensureIndex builds the spatial index over the attached positions and
@@ -198,6 +219,7 @@ func (m *Medium) ensureIndex() {
 	}
 	m.grid = geom.NewGrid(m.maxRange, m.pos)
 	m.activeCells = make([][]*transmission, m.grid.NumCells())
+	m.tables = make([][]neighbor, len(m.pos))
 	for _, tx := range m.activeAll {
 		tx.cells = tx.cells[:0]
 		m.registerActive(tx)
@@ -239,33 +261,35 @@ func (m *Medium) unregisterActive(tx *transmission) {
 	}
 }
 
-// takeScratch hands out the medium's candidate buffer; releaseScratch
-// returns it. The swap makes reentrant medium calls from listener
-// callbacks merely allocate a fresh buffer instead of corrupting an
-// in-progress iteration.
-func (m *Medium) takeScratch() []int32 {
-	buf := m.scratch
-	m.scratch = nil
-	return buf[:0]
-}
-
-func (m *Medium) releaseScratch(buf []int32) { m.scratch = buf }
-
-// appendCandidates appends the attach indices of all listeners that may
-// lie within radius of p — every listener in linear mode, the grid's
-// candidate cells otherwise — sorted ascending so callers visit them in
-// attach order, exactly like the reference scan.
-func (m *Medium) appendCandidates(p geom.Point, radius float64, buf []int32) []int32 {
-	if m.cfg.Linear {
-		for i := range m.listeners {
-			buf = append(buf, int32(i))
-		}
-		return buf
-	}
+// neighbors returns node idx's neighbour table: every other listener
+// within maxRange, in attach order, with its exact distance. The table is
+// built on first use at exact size — the grid supplies the candidates and
+// the one sort into attach order happens here — and then serves every
+// later frame and query of the node until an Attach resets it.
+func (m *Medium) neighbors(idx int32) []neighbor {
 	m.ensureIndex()
-	buf = m.grid.Query(p, radius, buf)
-	slices.Sort(buf)
-	return buf
+	if t := m.tables[idx]; t != nil {
+		return t
+	}
+	p := m.pos[idx]
+	cand := m.grid.Query(p, m.maxRange, m.scratch[:0])
+	rows := m.rows[:0]
+	for _, c := range cand {
+		if c == idx {
+			continue
+		}
+		// The negation of delivery's own test (d > radius), so a row is
+		// kept exactly when some frame could reach it.
+		if d := p.Dist(m.pos[c]); !(d > m.maxRange) {
+			rows = append(rows, neighbor{idx: c, dist: d})
+		}
+	}
+	slices.SortFunc(rows, func(a, b neighbor) int { return cmp.Compare(a.idx, b.idx) })
+	t := make([]neighbor, len(rows))
+	copy(t, rows)
+	m.scratch, m.rows = cand, rows
+	m.tables[idx] = t
+	return t
 }
 
 // Airtime returns the on-air duration of a frame of the given size.
@@ -342,6 +366,9 @@ func (m *Medium) Transmit(f *Frame) sim.Time {
 	m.frames++
 
 	radius := m.cfg.RangeAt(f.Power)
+	if radius > m.maxRange {
+		panic(fmt.Sprintf("phy: RangeAt(%g W) = %g m exceeds the maximum range RangeAt(+Inf) = %g m", f.Power, radius, m.maxRange))
+	}
 	tx := m.newTransmission(f, radius, m.pos[srcIdx])
 	m.activeAll = append(m.activeAll, tx)
 	if !m.cfg.Linear {
@@ -357,32 +384,41 @@ func (m *Medium) Transmit(f *Frame) sim.Time {
 
 	// Deliver to in-range listeners in attach order. A listener already
 	// mid-reception suffers a collision: both frames corrupt.
-	cand := m.appendCandidates(tx.pos, radius, m.takeScratch())
-	for _, idx := range cand {
-		if idx == srcIdx {
-			continue
+	if m.cfg.Linear {
+		for i := range m.listeners {
+			if idx := int32(i); idx != srcIdx {
+				m.deliver(tx, idx, tx.pos.Dist(m.pos[idx]))
+			}
 		}
-		if tx.pos.Dist(m.pos[idx]) > radius {
-			continue
+	} else {
+		for _, nb := range m.neighbors(srcIdx) {
+			m.deliver(tx, nb.idx, nb.dist)
 		}
-		l := m.listeners[idx]
-		if !l.CanReceive() {
-			continue
-		}
-		inbox := m.inboxes[idx]
-		corrupted := len(inbox) > 0
-		for i := range inbox {
-			inbox[i].corrupted = true
-		}
-		m.inboxes[idx] = append(inbox, rxEntry{frame: f, corrupted: corrupted})
-		tx.recips = append(tx.recips, idx)
-		l.RxBegin(f)
 	}
-	m.releaseScratch(cand)
 
 	fin := m.newFinisher(tx)
 	scheduleAt(m.sim, f.End, fin.fn)
 	return f.End
+}
+
+// deliver begins tx's reception at listener idx, d metres from the
+// transmitter, if it is in range and able to receive.
+func (m *Medium) deliver(tx *transmission, idx int32, d float64) {
+	if d > tx.radius {
+		return
+	}
+	l := m.listeners[idx]
+	if !l.CanReceive() {
+		return
+	}
+	inbox := m.inboxes[idx]
+	corrupted := len(inbox) > 0
+	for i := range inbox {
+		inbox[i].corrupted = true
+	}
+	m.inboxes[idx] = append(inbox, rxEntry{frame: tx.frame, corrupted: corrupted})
+	tx.recips = append(tx.recips, idx)
+	l.RxBegin(tx.frame)
 }
 
 // newTransmission takes a transmission from the pool.
@@ -444,24 +480,28 @@ func (m *Medium) Neighbors(id int, radius float64) []int {
 
 // NeighborsInto is Neighbors appending into the caller's buffer (truncated
 // first, grown as needed), so steady-state callers with a retained buffer
-// pay zero allocations per query.
+// pay zero allocations per query. A radius beyond the maximum range
+// reaches past the node's neighbour table and takes the linear scan.
 func (m *Medium) NeighborsInto(id int, radius float64, buf []int) []int {
 	idx, ok := m.idxByID[id]
 	if !ok {
 		panic(fmt.Sprintf("phy: unknown node %d", id))
 	}
-	p := m.pos[idx]
 	buf = buf[:0]
-	cand := m.appendCandidates(p, radius, m.takeScratch())
-	for _, c := range cand {
-		if c == idx {
-			continue
+	if m.cfg.Linear || radius > m.maxRange {
+		p := m.pos[idx]
+		for i, l := range m.listeners {
+			if int32(i) != idx && p.Dist(m.pos[i]) <= radius {
+				buf = append(buf, l.NodeID())
+			}
 		}
-		if p.Dist(m.pos[c]) <= radius {
-			buf = append(buf, m.listeners[c].NodeID())
+		return buf
+	}
+	for _, nb := range m.neighbors(idx) {
+		if nb.dist <= radius {
+			buf = append(buf, m.listeners[nb.idx].NodeID())
 		}
 	}
-	m.releaseScratch(cand)
 	return buf
 }
 

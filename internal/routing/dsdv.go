@@ -2,7 +2,6 @@ package routing
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"eend/internal/mac"
@@ -22,6 +21,35 @@ type dsdvEntry struct {
 	next   int
 	metric float64 // hops (DSDV) or accumulated h cost (DSDVH)
 	seq    uint64  // destination sequence number; odd marks a broken route
+	known  bool    // false: a gap in the table, no route learned yet
+}
+
+// dsdvTable is a routing table indexed by destination id. Node ids are
+// dense (0..n-1), so a slice replaces a map: lookups index instead of
+// hash, and walking it visits destinations in ascending id order.
+type dsdvTable struct {
+	rows  []dsdvEntry
+	known int // rows with known set
+}
+
+// get returns dst's row, or nil when no route to dst has been learned
+// (including any id outside the table).
+func (t *dsdvTable) get(dst int) *dsdvEntry {
+	if dst < 0 || dst >= len(t.rows) || !t.rows[dst].known {
+		return nil
+	}
+	return &t.rows[dst]
+}
+
+// add installs the first row for dst (get(dst) must be nil), growing the
+// table to reach it. Pointers from earlier gets are invalid afterwards.
+func (t *dsdvTable) add(dst int, e dsdvEntry) {
+	if dst >= len(t.rows) {
+		t.rows = append(t.rows, make([]dsdvEntry, dst+1-len(t.rows))...)
+	}
+	e.known = true
+	t.rows[dst] = e
+	t.known++
 }
 
 // advEntry is one advertised row in an update packet.
@@ -50,7 +78,7 @@ type DSDV struct {
 	// PowerControl transmits data at learned minimum power.
 	powerControl bool
 
-	table      map[int]*dsdvEntry
+	table      dsdvTable
 	mySeq      uint64
 	lastTrig   sim.Time
 	trigArm    sim.Timer
@@ -63,7 +91,7 @@ var _ Protocol = (*DSDV)(nil)
 
 // NewDSDV returns plain DSDV (hop-count metric).
 func NewDSDV(env *Env, powerControl bool) *DSDV {
-	return &DSDV{env: env, powerControl: powerControl, table: make(map[int]*dsdvEntry)}
+	return &DSDV{env: env, powerControl: powerControl}
 }
 
 // NewDSDVH returns DSDVH, the proactive joint-optimization variant. Wire its
@@ -72,7 +100,7 @@ func NewDSDV(env *Env, powerControl bool) *DSDV {
 // update is ... needed when ... the power management state of a node
 // changes").
 func NewDSDVH(env *Env, powerControl bool) *DSDV {
-	return &DSDV{env: env, hCost: true, powerControl: powerControl, table: make(map[int]*dsdvEntry)}
+	return &DSDV{env: env, hCost: true, powerControl: powerControl}
 }
 
 // Name implements Protocol.
@@ -93,7 +121,7 @@ func (d *DSDV) Stats() Stats { return d.stats }
 // Start implements Protocol: install the self route and begin periodic
 // full-table dumps at a phase chosen randomly to desynchronize nodes.
 func (d *DSDV) Start() {
-	d.table[d.env.ID] = &dsdvEntry{next: d.env.ID, metric: 0, seq: 0}
+	d.table.add(d.env.ID, dsdvEntry{next: d.env.ID, metric: 0, seq: 0})
 	d.periodicFn = d.periodic
 	first := jitter(d.env.RNG(), dsdvPeriod)
 	schedule(d.env.Sim, first, d.periodicFn)
@@ -101,21 +129,18 @@ func (d *DSDV) Start() {
 
 func (d *DSDV) periodic() {
 	d.mySeq += 2
-	d.table[d.env.ID].seq = d.mySeq
+	d.table.get(d.env.ID).seq = d.mySeq
 	d.broadcastFull()
 	schedule(d.env.Sim, dsdvPeriod, d.periodicFn)
 }
 
+// broadcastFull advertises every known row in ascending destination order.
 func (d *DSDV) broadcastFull() {
-	entries := make([]advEntry, 0, len(d.table))
-	dsts := make([]int, 0, len(d.table))
-	for dst := range d.table {
-		dsts = append(dsts, dst)
-	}
-	sort.Ints(dsts)
-	for _, dst := range dsts {
-		e := d.table[dst]
-		entries = append(entries, advEntry{dst: dst, metric: e.metric, seq: e.seq})
+	entries := make([]advEntry, 0, d.table.known)
+	for dst, e := range d.table.rows {
+		if e.known {
+			entries = append(entries, advEntry{dst: dst, metric: e.metric, seq: e.seq})
+		}
 	}
 	d.sendUpdate(entries)
 }
@@ -193,10 +218,10 @@ func (d *DSDV) handleUpdate(from int, u *dsdvUpdate) {
 		if math.IsInf(adv.metric, 1) {
 			cand = math.Inf(1)
 		}
-		cur, ok := d.table[adv.dst]
+		cur := d.table.get(adv.dst)
 		switch {
-		case !ok:
-			d.table[adv.dst] = &dsdvEntry{next: from, metric: cand, seq: adv.seq}
+		case cur == nil:
+			d.table.add(adv.dst, dsdvEntry{next: from, metric: cand, seq: adv.seq})
 			changed = true
 		case adv.seq > cur.seq:
 			if cur.next != from && math.IsInf(cand, 1) {
@@ -242,8 +267,8 @@ func (d *DSDV) forward(pkt *dataPacket) {
 		d.stats.DataDropped++
 		return
 	}
-	e, ok := d.table[pkt.Dst]
-	if !ok || math.IsInf(e.metric, 1) {
+	e := d.table.get(pkt.Dst)
+	if e == nil || math.IsInf(e.metric, 1) {
 		d.stats.DataDropped++
 		return
 	}
@@ -279,8 +304,9 @@ func (d *DSDV) deliver(pkt *dataPacket) {
 func (d *DSDV) neighborLost(n int) {
 	d.stats.DataDropped++
 	changed := false
-	for dst, e := range d.table {
-		if dst != d.env.ID && e.next == n && !math.IsInf(e.metric, 1) {
+	for dst := range d.table.rows {
+		e := &d.table.rows[dst]
+		if e.known && dst != d.env.ID && e.next == n && !math.IsInf(e.metric, 1) {
 			e.metric = math.Inf(1)
 			e.seq++ // odd: broken
 			changed = true
@@ -301,8 +327,11 @@ func (d *DSDV) Table() map[int]struct {
 		Next   int
 		Metric float64
 		Seq    uint64
-	}, len(d.table))
-	for dst, e := range d.table {
+	}, d.table.known)
+	for dst, e := range d.table.rows {
+		if !e.known {
+			continue
+		}
 		out[dst] = struct {
 			Next   int
 			Metric float64

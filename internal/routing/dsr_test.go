@@ -365,11 +365,11 @@ func TestDSDVNeighborLostPoisonsRoutes(t *testing.T) {
 		return NewDSDV(e, false)
 	})
 	d := tb.protos[0].(*DSDV)
-	d.table[2] = &dsdvEntry{next: 1, metric: 2, seq: 4}
-	d.table[3] = &dsdvEntry{next: 1, metric: 3, seq: 6}
+	d.table.add(2, dsdvEntry{next: 1, metric: 2, seq: 4})
+	d.table.add(3, dsdvEntry{next: 1, metric: 3, seq: 6})
 	d.neighborLost(1)
 	for _, dst := range []int{2, 3} {
-		e := d.table[dst]
+		e := d.table.get(dst)
 		if !math.IsInf(e.metric, 1) {
 			t.Errorf("route to %d not poisoned", dst)
 		}
@@ -388,32 +388,32 @@ func TestDSDVUpdateRules(t *testing.T) {
 
 	// New destination learned.
 	d.handleUpdate(1, &dsdvUpdate{entries: []advEntry{{dst: 3, metric: 2, seq: 10}}})
-	if e := d.table[3]; e == nil || e.next != 1 || e.metric != 3 {
-		t.Fatalf("entry = %+v", d.table[3])
+	if e := d.table.get(3); e == nil || e.next != 1 || e.metric != 3 {
+		t.Fatalf("entry = %+v", e)
 	}
 	// Same seq, worse metric: ignored.
 	d.handleUpdate(2, &dsdvUpdate{entries: []advEntry{{dst: 3, metric: 5, seq: 10}}})
-	if d.table[3].next != 1 {
+	if d.table.get(3).next != 1 {
 		t.Fatal("worse same-seq advertisement must not replace route")
 	}
 	// Same seq, better metric: adopted.
 	d.handleUpdate(2, &dsdvUpdate{entries: []advEntry{{dst: 3, metric: 1, seq: 10}}})
-	if d.table[3].next != 2 || d.table[3].metric != 2 {
-		t.Fatalf("better same-seq advertisement should win: %+v", d.table[3])
+	if d.table.get(3).next != 2 || d.table.get(3).metric != 2 {
+		t.Fatalf("better same-seq advertisement should win: %+v", d.table.get(3))
 	}
 	// Newer seq wins regardless of metric.
 	d.handleUpdate(1, &dsdvUpdate{entries: []advEntry{{dst: 3, metric: 9, seq: 12}}})
-	if d.table[3].next != 1 || d.table[3].metric != 10 {
-		t.Fatalf("newer seq should win: %+v", d.table[3])
+	if d.table.get(3).next != 1 || d.table.get(3).metric != 10 {
+		t.Fatalf("newer seq should win: %+v", d.table.get(3))
 	}
 	// Broken advertisement from a node that is not our next hop: ignored.
 	d.handleUpdate(2, &dsdvUpdate{entries: []advEntry{{dst: 3, metric: math.Inf(1), seq: 13}}})
-	if math.IsInf(d.table[3].metric, 1) {
+	if math.IsInf(d.table.get(3).metric, 1) {
 		t.Fatal("unrelated broken advertisement must not poison our route")
 	}
 	// Own entry never overwritten.
 	d.handleUpdate(1, &dsdvUpdate{entries: []advEntry{{dst: 0, metric: 7, seq: 99}}})
-	if d.table[0].metric != 0 || d.table[0].next != 0 {
+	if d.table.get(0).metric != 0 || d.table.get(0).next != 0 {
 		t.Fatal("self entry must be immutable")
 	}
 }
